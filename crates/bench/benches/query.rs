@@ -1,9 +1,10 @@
 //! Throughput benches for the `rpi-query` serving layer: ingest cost,
-//! single-query rates, batched rates and shard-decomposition speedup,
-//! snapshot diffing, and the rpi-sec detection verbs. These back the
-//! observatory's queries/sec claims (`rpi-queryd --bench` prints the
-//! same numbers against a live world). `RPI_BENCH_SMOKE` trims sample
-//! counts (CI's bench-trend step), never the worlds.
+//! single-query rates, batched rates across shard counts, snapshot
+//! diffing, and the rpi-sec detection verbs — every query through
+//! `execute` / `execute_batch`, the engine's one entry point. Reported
+//! times are wall clock (best of N runs); the repository benchmark in
+//! `perfbench/` owns the end-to-end numbers. `RPI_BENCH_SMOKE` trims
+//! sample counts (CI's bench-trend step), never the worlds.
 
 use std::time::{Duration, Instant};
 
@@ -15,7 +16,7 @@ use bgp_sim::ChurnConfig;
 use bgp_types::{Asn, Ipv4Prefix};
 use net_topology::InternetSize;
 use rpi_core::Experiment;
-use rpi_query::{Query, QueryEngine, QueryRequest, Scope};
+use rpi_query::{Query, QueryEngine, QueryRequest, Response, Scope};
 use rpi_sec::{Roa, RoaTable};
 
 fn workload(exp: &Experiment) -> Vec<(Asn, Ipv4Prefix)> {
@@ -26,6 +27,18 @@ fn workload(exp: &Experiment) -> Vec<(Asn, Ipv4Prefix)> {
         }
     }
     pairs
+}
+
+/// One request per (vantage, prefix) pair, all in `scope`.
+fn requests(
+    pairs: &[(Asn, Ipv4Prefix)],
+    scope: Scope,
+    query: impl Fn(Asn, Ipv4Prefix) -> Query,
+) -> Vec<QueryRequest> {
+    pairs
+        .iter()
+        .map(|&(v, p)| query(v, p).at(scope.clone()))
+        .collect()
 }
 
 fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
@@ -62,37 +75,51 @@ fn bench_queries(c: &mut Criterion, smoke: bool) {
     let mut engine = QueryEngine::new(8);
     engine.ingest_experiment(&exp, "t0");
     let pairs = workload(&exp);
+    let routes = requests(&pairs, Scope::Latest, |vantage, prefix| Query::Route {
+        vantage,
+        prefix,
+    });
+    let sas = requests(&pairs, Scope::Latest, |vantage, prefix| Query::SaStatus {
+        vantage,
+        prefix,
+    });
+    let summaries: Vec<QueryRequest> = exp
+        .spec
+        .lg_ases
+        .iter()
+        .map(|&asn| Query::PolicySummary { asn }.at(Scope::Latest))
+        .collect();
 
     let mut g = c.benchmark_group("query/single");
     g.sample_size(if smoke { 5 } else { 20 });
     g.throughput(Throughput::Elements(pairs.len() as u64));
     g.bench_function(format!("route_at_{}_queries", pairs.len()), |b| {
         b.iter(|| {
-            let mut hits = 0usize;
-            for &(v, p) in &pairs {
-                if engine.route_at(v, p).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
+            routes
+                .iter()
+                .filter(|r| matches!(engine.execute(r), Ok(Response::Route(Some(_)))))
+                .count()
         })
     });
     g.bench_function("sa_status_all", |b| {
         b.iter(|| {
-            pairs
-                .iter()
-                .map(|&(v, p)| engine.sa_status(v, p))
-                .fold(0usize, |acc, s| {
-                    acc + matches!(s, rpi_query::SaStatus::SelectivelyAnnounced { .. }) as usize
+            sas.iter()
+                .filter(|r| {
+                    matches!(
+                        engine.execute(r),
+                        Ok(Response::Sa(
+                            rpi_query::SaStatus::SelectivelyAnnounced { .. }
+                        ))
+                    )
                 })
+                .count()
         })
     });
     g.bench_function("policy_summary_all_lgs", |b| {
         b.iter(|| {
-            exp.spec
-                .lg_ases
+            summaries
                 .iter()
-                .filter_map(|&a| engine.policy_summary(a))
+                .filter(|r| matches!(engine.execute(r), Ok(Response::Summary(Some(_)))))
                 .count()
         })
     });
@@ -104,15 +131,17 @@ fn bench_queries(c: &mut Criterion, smoke: bool) {
     for shards in [1usize, 4, 16] {
         let mut e = QueryEngine::new(shards);
         let id = e.ingest_experiment(&exp, "bench");
-        g.bench_function(format!("route_at_batch_{shards}_shards"), |b| {
-            b.iter(|| e.route_at_batch_in(id, &pairs))
+        let batch = requests(&pairs, Scope::Id(id), |vantage, prefix| Query::Route {
+            vantage,
+            prefix,
         });
-        // Report the decomposition's achievable speedup once per config.
-        let (_, profile) = e.route_at_batch_profiled(id, &pairs);
+        g.bench_function(format!("route_at_batch_{shards}_shards"), |b| {
+            b.iter(|| e.execute_batch(&batch))
+        });
+        let (wall, _) = best_of(if smoke { 3 } else { 10 }, || e.execute_batch(&batch));
         println!(
-            "    ({shards} shards: critical path {:.2?}, speedup {:.1}× with one core per shard)",
-            profile.critical_path(),
-            profile.parallel_speedup()
+            "    ({shards} shards: {} queries in {wall:.2?} wall, best run)",
+            batch.len()
         );
     }
     g.finish();
@@ -152,17 +181,11 @@ fn bench_execute_batch(c: &mut Criterion, smoke: bool) {
     });
     g.finish();
 
-    // Record the decomposition's critical-path speedup once: how much of
-    // the batch's lookup work the shard lanes can overlap.
-    let (results, profile) = engine.execute_batch_profiled(&reqs);
+    let (wall, results) = best_of(if smoke { 3 } else { 10 }, || engine.execute_batch(&reqs));
     let ok = results.iter().filter(|r| r.is_ok()).count();
     println!(
-        "    (mixed batch: {} requests, {ok} ok, critical path {:.2?} of {:.2?} busy → \
-         lane speedup {:.1}× with one core per lane)",
-        reqs.len(),
-        profile.critical_path(),
-        profile.total_busy(),
-        profile.parallel_speedup()
+        "    (mixed batch: {} requests, {ok} ok, {wall:.2?} wall, best run)",
+        reqs.len()
     );
 }
 
@@ -220,26 +243,29 @@ fn bench_ingest_series(c: &mut Criterion, smoke: bool) {
     g.bench_function("output_delta_only", |b| b.iter(|| series.deltas()));
     g.finish();
 
-    // Report speedup + sharing once, through the same measurement the
-    // daemon's `--bench` prints.
-    let report = rpi_query::measure_series_ingest(
-        &series,
-        &exp.inferred_graph,
-        8,
-        if smoke { 1 } else { 3 },
-    );
+    // Report speedup + sharing once (best of N, so a cold first run's
+    // allocator warmup doesn't read as ingest cost).
+    let runs = if smoke { 1 } else { 3 };
+    let (full, _) = best_of(runs, || {
+        let mut e = QueryEngine::new(8);
+        e.ingest_series(&series, &exp.inferred_graph);
+    });
+    let (incremental, engine) = best_of(runs, || {
+        let mut e = QueryEngine::new(8);
+        e.ingest_series_incremental(&series, &exp.inferred_graph);
+        e
+    });
+    let stats = engine.sharing_stats();
     println!(
         "    (series of {} snapshots, {events} route events ≈ {churn_pct:.2}% churn/snapshot: \
-         full {:.2?} vs incremental {:.2?} → {:.1}× speedup; \
+         full {full:.2?} vs incremental {incremental:.2?} → {:.1}× speedup; \
          {}/{} nodes shared = {:.1}%, {} KiB)",
         series.snapshots.len(),
-        report.full,
-        report.incremental,
-        report.speedup(),
-        report.stats.shared_nodes,
-        report.stats.total_nodes,
-        100.0 * report.stats.shared_ratio(),
-        report.stats.shared_bytes / 1024,
+        full.as_secs_f64() / incremental.as_secs_f64(),
+        stats.shared_nodes,
+        stats.total_nodes,
+        100.0 * stats.shared_ratio(),
+        stats.shared_bytes / 1024,
     );
 }
 

@@ -4,15 +4,17 @@
 //! snapshots), ingests it into a [`QueryEngine`], and answers queries
 //! from stdin, a file, or — with `--listen` — a non-blocking TCP front
 //! end ([`rpi_query::serve`]). Every query line is the shared wire
-//! grammar of [`rpi_query::proto`], so REPL sessions, batch `--queries`
-//! files, TCP clients and the engine's tests all speak one language and
-//! get byte-identical answers. `--bench` instead runs the throughput
-//! report: single route queries per second, batched throughput across
-//! shard counts, and a mixed protocol workload.
+//! grammar of [`rpi_query::proto`], and every front end drives the same
+//! [`Session`] over it, so REPL sessions, batch `--queries` files and
+//! TCP clients get byte-identical answers and feed the same metrics.
+//! Only the error spelling is the transport's: `PATH:N: msg` on stderr
+//! (exit 1) for a `--queries` file, `error: msg` in the REPL, and
+//! `error line N: msg` over TCP. Throughput is measured by the
+//! repository benchmark (`perfbench/`), not by the daemon.
 //!
 //! ```text
 //! rpi-queryd [--size tiny|small|paper] [--seed N] [--snapshots N]
-//!            [--incremental] [--shards N] [--queries FILE] [--bench]
+//!            [--incremental] [--shards N] [--queries FILE]
 //!            [--save DIR [--force]] [--archive DIR]
 //!            [--listen ADDR [--max-conns N] [--write-buf-cap BYTES]]
 //! ```
@@ -33,20 +35,20 @@
 //! printf 'route AS1 4.0.0.0/13\nquit\n' | nc 127.0.0.1 4321
 //! ```
 
-use std::io::{BufRead, Write as _};
+use std::io::{IsTerminal as _, Read, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bgp_sim::churn::simulate_series;
 use bgp_sim::ChurnConfig;
-use bgp_types::{Asn, Ipv4Prefix};
 use net_topology::InternetSize;
 use rpi_core::Experiment;
-use rpi_query::serve::session::{classify_line, fmt_bytes, repl_reply, Line};
+use rpi_query::serve::session::{fmt_bytes, OnError, Session};
 use rpi_query::serve::ServeStats;
-use rpi_query::{Control, PollBackend, Query, QueryEngine, Scope, ServeConfig, Server};
+use rpi_query::{EngineSource, PollBackend, QueryEngine, ServeConfig, Server};
 
 struct Options {
     size: InternetSize,
@@ -56,7 +58,6 @@ struct Options {
     shards: usize,
     queries: Option<String>,
     roas: Option<String>,
-    bench: bool,
     save: Option<String>,
     archive: Option<String>,
     hot_cap: Option<usize>,
@@ -69,7 +70,7 @@ struct Options {
     serve_threads: usize,
     idle_timeout_secs: u64,
     follow: Option<String>,
-    window: usize,
+    window: Option<usize>,
     spill: Option<String>,
     emit_deltas: Option<String>,
     emit_delay_ms: u64,
@@ -81,7 +82,7 @@ struct Options {
 fn usage() -> &'static str {
     "usage: rpi-queryd [--size tiny|small|paper|large] [--seed N] \
      [--snapshots N] [--incremental] [--shards N] [--queries FILE] \
-     [--roas FILE] [--bench] \
+     [--roas FILE] \
      [--save DIR [--force] [--keyframe-every N]] \
      [--archive DIR [--hot-cap N]] \
      [--listen ADDR [--max-conns N] [--write-buf-cap BYTES] \
@@ -102,7 +103,6 @@ fn flag_help() -> &'static str {
   --roas FILE          load route-origin authorizations for `rov` / RPKI state
                        (one '<prefix>[-<max-length>] <origin-asn>' per line;
                        saved into archives, so --archive restores them)
-  --bench              run the throughput report instead of serving queries
   --save DIR           write the ingested world as an rpi-store archive, then exit
   --keyframe-every N   save: force a self-contained keyframe segment every N
                        snapshots, bounding every delta chain (tiered readers
@@ -169,7 +169,6 @@ fn parse_args() -> Result<Options, String> {
         shards: 8,
         queries: None,
         roas: None,
-        bench: false,
         save: None,
         archive: None,
         hot_cap: None,
@@ -182,7 +181,7 @@ fn parse_args() -> Result<Options, String> {
         serve_threads: 1,
         idle_timeout_secs: 30,
         follow: None,
-        window: 4,
+        window: None,
         spill: None,
         emit_deltas: None,
         emit_delay_ms: 0,
@@ -204,70 +203,21 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| format!("--seed wants an unsigned integer, got '{v}'"))?;
             }
-            "--snapshots" => {
-                let v = value("--snapshots")?;
-                opts.snapshots = v
-                    .parse()
-                    .map_err(|_| format!("--snapshots wants a count, got '{v}'"))?;
-                if opts.snapshots == 0 {
-                    return Err("--snapshots must be at least 1".into());
-                }
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                opts.shards = v
-                    .parse()
-                    .map_err(|_| format!("--shards wants a count, got '{v}'"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
+            "--snapshots" => opts.snapshots = positive(&arg, "a count", value(&arg)?)?,
+            "--shards" => opts.shards = positive(&arg, "a count", value(&arg)?)?,
             "--incremental" => opts.incremental = true,
             "--queries" => opts.queries = Some(value("--queries")?),
             "--roas" => opts.roas = Some(value("--roas")?),
-            "--bench" => opts.bench = true,
             "--save" => opts.save = Some(value("--save")?),
             "--archive" => opts.archive = Some(value("--archive")?),
-            "--hot-cap" => {
-                let v = value("--hot-cap")?;
-                let cap = v
-                    .parse()
-                    .map_err(|_| format!("--hot-cap wants a count, got '{v}'"))?;
-                if cap == 0 {
-                    return Err("--hot-cap must be at least 1".into());
-                }
-                opts.hot_cap = Some(cap);
-            }
+            "--hot-cap" => opts.hot_cap = Some(positive(&arg, "a count", value(&arg)?)?),
             "--keyframe-every" => {
-                let v = value("--keyframe-every")?;
-                let every = v
-                    .parse()
-                    .map_err(|_| format!("--keyframe-every wants a count, got '{v}'"))?;
-                if every == 0 {
-                    return Err("--keyframe-every must be at least 1".into());
-                }
-                opts.keyframe_every = Some(every);
+                opts.keyframe_every = Some(positive(&arg, "a count", value(&arg)?)?)
             }
             "--force" => opts.force = true,
             "--listen" => opts.listen = Some(value("--listen")?),
-            "--max-conns" => {
-                let v = value("--max-conns")?;
-                opts.max_conns = v
-                    .parse()
-                    .map_err(|_| format!("--max-conns wants a count, got '{v}'"))?;
-                if opts.max_conns == 0 {
-                    return Err("--max-conns must be at least 1".into());
-                }
-            }
-            "--write-buf-cap" => {
-                let v = value("--write-buf-cap")?;
-                opts.write_buf_cap = v
-                    .parse()
-                    .map_err(|_| format!("--write-buf-cap wants bytes, got '{v}'"))?;
-                if opts.write_buf_cap == 0 {
-                    return Err("--write-buf-cap must be at least 1".into());
-                }
-            }
+            "--max-conns" => opts.max_conns = positive(&arg, "a count", value(&arg)?)?,
+            "--write-buf-cap" => opts.write_buf_cap = positive(&arg, "bytes", value(&arg)?)?,
             "--backend" => {
                 let v = value("--backend")?;
                 let backend: PollBackend = v.parse()?;
@@ -278,34 +228,10 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.backend = Some(backend);
             }
-            "--serve-threads" => {
-                let v = value("--serve-threads")?;
-                opts.serve_threads = v
-                    .parse()
-                    .map_err(|_| format!("--serve-threads wants a count, got '{v}'"))?;
-                if opts.serve_threads == 0 {
-                    return Err("--serve-threads must be at least 1".into());
-                }
-            }
-            "--idle-timeout" => {
-                let v = value("--idle-timeout")?;
-                opts.idle_timeout_secs = v
-                    .parse()
-                    .map_err(|_| format!("--idle-timeout wants seconds, got '{v}'"))?;
-                if opts.idle_timeout_secs == 0 {
-                    return Err("--idle-timeout must be at least 1".into());
-                }
-            }
+            "--serve-threads" => opts.serve_threads = positive(&arg, "a count", value(&arg)?)?,
+            "--idle-timeout" => opts.idle_timeout_secs = positive(&arg, "seconds", value(&arg)?)?,
             "--follow" => opts.follow = Some(value("--follow")?),
-            "--window" => {
-                let v = value("--window")?;
-                opts.window = v
-                    .parse()
-                    .map_err(|_| format!("--window wants a count, got '{v}'"))?;
-                if opts.window == 0 {
-                    return Err("--window must be at least 1".into());
-                }
-            }
+            "--window" => opts.window = Some(positive(&arg, "a count", value(&arg)?)?),
             "--spill" => opts.spill = Some(value("--spill")?),
             "--emit-deltas" => opts.emit_deltas = Some(value("--emit-deltas")?),
             "--emit-delay-ms" => {
@@ -315,25 +241,11 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|_| format!("--emit-delay-ms wants milliseconds, got '{v}'"))?;
             }
             "--metrics-interval" => {
-                let v = value("--metrics-interval")?;
-                let secs = v
-                    .parse()
-                    .map_err(|_| format!("--metrics-interval wants seconds, got '{v}'"))?;
-                if secs == 0 {
-                    return Err("--metrics-interval must be at least 1".into());
-                }
-                opts.metrics_interval = Some(secs);
+                opts.metrics_interval = Some(positive(&arg, "seconds", value(&arg)?)?)
             }
             "--metrics-file" => opts.metrics_file = Some(value("--metrics-file")?),
             "--slow-query-ms" => {
-                let v = value("--slow-query-ms")?;
-                let ms = v
-                    .parse()
-                    .map_err(|_| format!("--slow-query-ms wants milliseconds, got '{v}'"))?;
-                if ms == 0 {
-                    return Err("--slow-query-ms must be at least 1".into());
-                }
-                opts.slow_query_ms = Some(ms);
+                opts.slow_query_ms = Some(positive(&arg, "milliseconds", value(&arg)?)?)
             }
             "--help" | "-h" => {
                 println!("{}\n\n{}", usage(), flag_help());
@@ -343,6 +255,22 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
+}
+
+/// Parses the value of a flag that must be a positive integer; `what`
+/// names the unit the error asks for (`a count`, `bytes`, `seconds`, …).
+fn positive<T: FromStr + PartialEq + From<u8>>(
+    name: &str,
+    what: &str,
+    v: String,
+) -> Result<T, String> {
+    let n: T = v
+        .parse()
+        .map_err(|_| format!("{name} wants {what}, got '{v}'"))?;
+    if n == T::from(0) {
+        return Err(format!("{name} must be at least 1"));
+    }
+    Ok(n)
 }
 
 /// The serve tunables from the CLI: `--backend` (else the
@@ -388,10 +316,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.archive.is_some() && opts.bench {
-        eprintln!("rpi-queryd: --bench needs a simulated world; drop --archive");
-        return ExitCode::FAILURE;
-    }
     if opts.hot_cap.is_some() && opts.archive.is_none() {
         eprintln!("rpi-queryd: --hot-cap tiers an archive; it needs --archive");
         return ExitCode::FAILURE;
@@ -400,20 +324,19 @@ fn main() -> ExitCode {
         eprintln!("rpi-queryd: --keyframe-every shapes an archive; it needs --save or --follow");
         return ExitCode::FAILURE;
     }
-    if opts.listen.is_some() && (opts.bench || opts.queries.is_some() || opts.save.is_some()) {
-        eprintln!("rpi-queryd: --listen serves TCP; drop --bench/--queries/--save");
+    if opts.listen.is_some() && (opts.queries.is_some() || opts.save.is_some()) {
+        eprintln!("rpi-queryd: --listen serves TCP; drop --queries/--save");
         return ExitCode::FAILURE;
     }
     if opts.follow.is_some()
-        && (opts.bench || opts.queries.is_some() || opts.save.is_some() || opts.archive.is_some())
+        && (opts.queries.is_some() || opts.save.is_some() || opts.archive.is_some())
     {
-        eprintln!("rpi-queryd: --follow ingests live; drop --bench/--queries/--save/--archive");
+        eprintln!("rpi-queryd: --follow ingests live; drop --queries/--save/--archive");
         return ExitCode::FAILURE;
     }
     if opts.emit_deltas.is_some()
         && (opts.follow.is_some()
             || opts.listen.is_some()
-            || opts.bench
             || opts.queries.is_some()
             || opts.save.is_some()
             || opts.archive.is_some())
@@ -421,7 +344,7 @@ fn main() -> ExitCode {
         eprintln!("rpi-queryd: --emit-deltas writes a stream and exits; run it alone");
         return ExitCode::FAILURE;
     }
-    if (opts.spill.is_some() || opts.window != 4) && opts.follow.is_none() {
+    if (opts.spill.is_some() || opts.window.is_some()) && opts.follow.is_none() {
         eprintln!("rpi-queryd: --window/--spill tune live ingest; they need --follow");
         return ExitCode::FAILURE;
     }
@@ -509,7 +432,6 @@ fn main() -> ExitCode {
         return follow_and_serve(&opts, path, roa_table, listener, metrics_file);
     }
 
-    let mut exp = None;
     let mut engine;
     if let Some(dir) = &opts.archive {
         let t0 = Instant::now();
@@ -574,7 +496,6 @@ fn main() -> ExitCode {
         } else {
             engine.ingest_experiment(&e, "t0");
         }
-        exp = Some(e);
         let (asns, prefixes, communities) = engine.interned_sizes();
         eprintln!(
             "ready in {:.2?}: {} snapshots, {} shards, interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
@@ -643,16 +564,6 @@ fn main() -> ExitCode {
         };
     }
 
-    if opts.bench {
-        bench(
-            exp.as_ref()
-                .expect("checked: --bench never loads an archive"),
-            &engine,
-            opts.shards,
-        );
-        return ExitCode::SUCCESS;
-    }
-
     // The serve mode: share the built engine across the accept loop and
     // run until a `shutdown` control line, then report the stats
     // snapshot (SIGINT-free shutdown).
@@ -697,22 +608,11 @@ fn main() -> ExitCode {
         };
     }
 
+    let source = EngineSource::Frozen(Arc::new(engine));
     match (&opts.queries, query_text) {
-        (Some(path), Some(text)) => run_file(&engine, path, &text),
+        (Some(path), Some(text)) => run_script(&source, path, &text),
         _ => {
-            let stdin = std::io::stdin();
-            print!("> ");
-            let _ = std::io::stdout().flush();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else { break };
-                match run_line(&engine, &line) {
-                    Outcome::Quit => break,
-                    Outcome::Ok => {}
-                    Outcome::Err(e) => println!("error: {e}"),
-                }
-                print!("> ");
-                let _ = std::io::stdout().flush();
-            }
+            repl(&source);
             ExitCode::SUCCESS
         }
     }
@@ -811,7 +711,7 @@ fn follow_and_serve(
         .clone()
         .unwrap_or_else(|| format!("{path}.spill"));
     let live_opts = rpi_query::LiveOptions {
-        window: opts.window,
+        window: opts.window.unwrap_or(4),
         keyframe_every: opts.keyframe_every.unwrap_or(4),
     };
     eprintln!(
@@ -858,7 +758,7 @@ fn follow_and_serve(
 
     let served = if let Some(listener) = listener {
         let cfg = serve_config(opts);
-        let source = rpi_query::EngineSource::Live(Arc::clone(&handle));
+        let source = EngineSource::Live(Arc::clone(&handle));
         let server = match Server::with_listener_source(source, listener, cfg.clone()) {
             Ok(s) => s,
             Err(e) => {
@@ -889,23 +789,10 @@ fn follow_and_serve(
             }
         }
     } else {
-        // Stdin REPL against the moving world: each line loads the
-        // epoch current at that moment, so one line's answer is one
+        // Stdin REPL against the moving world: each read loads the
+        // epoch current at that moment, so one batch's answers are one
         // consistent snapshot of the published state.
-        let stdin = std::io::stdin();
-        print!("> ");
-        let _ = std::io::stdout().flush();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            let epoch = handle.current();
-            match run_line(&epoch, &line) {
-                Outcome::Quit => break,
-                Outcome::Ok => {}
-                Outcome::Err(e) => println!("error: {e}"),
-            }
-            print!("> ");
-            let _ = std::io::stdout().flush();
-        }
+        repl(&EngineSource::Live(Arc::clone(&handle)));
         ExitCode::SUCCESS
     };
 
@@ -1009,21 +896,20 @@ impl MetricsEmitter {
     }
 }
 
-/// Executes a `--queries` file: blank lines and comments are skipped,
-/// REPL commands work, parse and execution errors are reported to stderr
-/// with their 1-based line number. Exits FAILURE if any line failed.
-fn run_file(engine: &QueryEngine, path: &str, text: &str) -> ExitCode {
+/// Executes a `--queries` file through one [`Session`]: each error is
+/// reported to stderr with its 1-based line number, and any error makes
+/// the run exit FAILURE.
+fn run_script(source: &EngineSource, path: &str, text: &str) -> ExitCode {
     let mut failed = false;
-    for (i, line) in text.lines().enumerate() {
-        match run_line(engine, line) {
-            Outcome::Quit => break,
-            Outcome::Ok => {}
-            Outcome::Err(e) => {
-                eprintln!("rpi-queryd: {path}:{}: {e}", i + 1);
-                failed = true;
-            }
-        }
-    }
+    run_session(source, text.as_bytes(), false, &mut |out, line, msg| {
+        // Flush the answers before the error, so a merged stdout/stderr
+        // reads in script order.
+        let mut stdout = std::io::stdout();
+        let _ = stdout.write_all(out).and_then(|()| stdout.flush());
+        out.clear();
+        eprintln!("rpi-queryd: {path}:{line}: {msg}");
+        failed = true;
+    });
     if failed {
         ExitCode::FAILURE
     } else {
@@ -1031,178 +917,52 @@ fn run_file(engine: &QueryEngine, path: &str, text: &str) -> ExitCode {
     }
 }
 
-enum Outcome {
-    Ok,
-    Err(String),
-    Quit,
+/// The stdin REPL: errors are answered in-band as `error: msg`, and the
+/// `> ` prompt is printed only when stdin is a terminal.
+fn repl(source: &EngineSource) {
+    let stdin = std::io::stdin();
+    let prompt = stdin.is_terminal();
+    run_session(source, stdin.lock(), prompt, &mut |out, _, msg| {
+        out.extend_from_slice(format!("error: {msg}\n").as_bytes());
+    });
+}
+
+/// Drives one [`Session`] over `input` until EOF or a session-ending
+/// control line — `shutdown` has nothing more to stop locally than the
+/// session itself. Each read is one batch against the source's current
+/// engine, and its rendered answers go to stdout before the next read.
+fn run_session(
+    source: &EngineSource,
+    mut input: impl Read,
+    prompt: bool,
+    on_error: &mut OnError<'_>,
+) {
+    let mut session = Session::new(ServeConfig::default().max_line_len);
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut out = Vec::new();
+    let mut stdout = std::io::stdout();
+    loop {
+        if prompt {
+            let _ = stdout.write_all(b"> ").and_then(|()| stdout.flush());
+        }
+        let ended = match input.read(&mut buf) {
+            Ok(n) if n > 0 => session
+                .feed(&source.current(), &buf[..n], &mut out, on_error)
+                .is_some(),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            _ => {
+                session.finish(&source.current(), &mut out, on_error);
+                true
+            }
+        };
+        let _ = stdout.write_all(&out).and_then(|()| stdout.flush());
+        out.clear();
+        if ended {
+            break;
+        }
+    }
 }
 
 fn count_kind(manifest: &rpi_store::Manifest, kind: rpi_store::SegmentKind) -> usize {
     manifest.segments.iter().filter(|s| s.kind == kind).count()
-}
-
-/// Executes one line through the same session semantics the TCP front
-/// end uses ([`rpi_query::serve::session`]) — the stdin and network
-/// paths must answer byte-identically, and sharing the classification
-/// and rendering is what guarantees it.
-fn run_line(engine: &QueryEngine, line: &str) -> Outcome {
-    match classify_line(line) {
-        Line::Skip => Outcome::Ok,
-        // In a local session `shutdown` has nothing more to stop than
-        // the session itself.
-        Line::Control(Control::Quit) | Line::Control(Control::Shutdown) => Outcome::Quit,
-        Line::Control(Control::Ping) => {
-            println!("pong");
-            Outcome::Ok
-        }
-        Line::Repl(cmd) => {
-            println!("{}", repl_reply(engine, cmd));
-            Outcome::Ok
-        }
-        Line::Query(req) => {
-            // Stdin queries feed the same per-verb counters and latency
-            // histograms as served ones, so `stats`/`metrics`/`slowlog`
-            // are live in every session shape.
-            let t0 = Instant::now();
-            let result = engine.execute(&req);
-            let elapsed = t0.elapsed();
-            let m = engine.metrics();
-            let v = req.query.verb_index();
-            m.serve_queries_total[v].inc();
-            m.serve_query_seconds[v].record(elapsed);
-            if m.slow_threshold().is_some_and(|thr| elapsed >= thr) {
-                m.push_slow(elapsed, 1, line.trim());
-            }
-            match result {
-                Ok(resp) => {
-                    println!("{}", rpi_query::render_response(&req, &resp));
-                    Outcome::Ok
-                }
-                Err(e) => Outcome::Err(e.to_string()),
-            }
-        }
-        Line::Bad(msg) => Outcome::Err(msg),
-    }
-}
-
-/// The throughput report behind the `--bench` flag.
-fn bench(exp: &Experiment, engine: &QueryEngine, max_shards: usize) {
-    // Query workload: every (vantage, prefix) pair the world knows.
-    let mut pairs: Vec<(Asn, Ipv4Prefix)> = Vec::new();
-    for (vantage, _) in engine.vantages() {
-        if let Some(t) = exp.lg_table(vantage) {
-            pairs.extend(t.rows.keys().map(|&p| (vantage, p)));
-        } else {
-            let t = exp.collector_table(vantage);
-            pairs.extend(t.rows.keys().map(|&p| (vantage, p)));
-        }
-    }
-    assert!(!pairs.is_empty(), "bench world has no routes");
-    println!(
-        "\nworkload: {} distinct (vantage, prefix) queries",
-        pairs.len()
-    );
-
-    // --- single-route queries ---
-    const TARGET: usize = 400_000;
-    let rounds = TARGET.div_ceil(pairs.len()).max(1);
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    for _ in 0..rounds {
-        for &(v, p) in &pairs {
-            if engine.route_at(v, p).is_some() {
-                hits += 1;
-            }
-        }
-    }
-    let total = rounds * pairs.len();
-    let elapsed = t0.elapsed();
-    let qps = total as f64 / elapsed.as_secs_f64();
-    println!(
-        "single route_at: {total} queries in {elapsed:.2?} → {qps:.0} queries/s ({hits} hits)"
-    );
-
-    // --- sa_status single queries ---
-    let t0 = Instant::now();
-    for &(v, p) in &pairs {
-        std::hint::black_box(engine.sa_status(v, p));
-    }
-    let qps_sa = pairs.len() as f64 / t0.elapsed().as_secs_f64();
-    println!("single sa_status: {qps_sa:.0} queries/s");
-
-    // --- batched queries across shard counts ---
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\nbatched route_at_batch (one engine per shard count, {cores} core(s)):");
-    let mut shard_counts: Vec<usize> = vec![1, 2, 4, 8, 16];
-    shard_counts.retain(|&s| s <= max_shards.max(1));
-    if !shard_counts.contains(&max_shards) {
-        shard_counts.push(max_shards);
-    }
-    let batch: Vec<(Asn, Ipv4Prefix)> = pairs.iter().cycle().take(TARGET).copied().collect();
-    for &n in &shard_counts {
-        let mut e = QueryEngine::new(n);
-        e.ingest_experiment(exp, "bench");
-        let id = e.latest().expect("just ingested");
-        let (answers, profile) = e.route_at_batch_profiled(id, &batch);
-        let got = answers.iter().filter(|a| a.is_some()).count();
-        println!(
-            "  {n:>3} shards: {} queries in {:.2?} → {:.0} queries/s wall; \
-             critical path {:.2?} → {:.0} queries/s with {n} cores \
-             (shard speedup {:.1}×, {got} answered)",
-            batch.len(),
-            profile.wall,
-            batch.len() as f64 / profile.wall.as_secs_f64(),
-            profile.critical_path(),
-            batch.len() as f64 / profile.critical_path().as_secs_f64(),
-            profile.parallel_speedup(),
-        );
-    }
-
-    // --- series ingest: full re-index vs incremental (COW overlays) ---
-    // A dozen daily snapshots at ~1% route churn each (the paper's §6
-    // series is 31 days of this).
-    const SERIES_STEPS: usize = 12;
-    let cfg = ChurnConfig {
-        steps: SERIES_STEPS,
-        flip_prob: 0.07,
-        link_failure_prob: 0.01,
-        ..ChurnConfig::daily(7)
-    };
-    let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
-    let events: usize = series.deltas().iter().map(|d| d.route_events()).sum();
-    let report = rpi_query::measure_series_ingest(&series, &exp.inferred_graph, max_shards, 3);
-    println!(
-        "\nseries ingest ({SERIES_STEPS} snapshots, {events} route events):\n  \
-         full re-index {:.2?}, incremental {:.2?} → {:.1}× faster; \
-         {}/{} trie nodes shared ({:.1}%, {} KiB)",
-        report.full,
-        report.incremental,
-        report.speedup(),
-        report.stats.shared_nodes,
-        report.stats.total_nodes,
-        100.0 * report.stats.shared_ratio(),
-        report.stats.shared_bytes / 1024,
-    );
-
-    // --- mixed protocol workload through execute_batch ---
-    let reqs: Vec<_> = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &(vantage, prefix))| match i % 3 {
-            0 => Query::Route { vantage, prefix }.at(Scope::Latest),
-            1 => Query::SaStatus { vantage, prefix }.at(Scope::Latest),
-            _ => Query::Resolve { vantage, prefix }.at(Scope::Latest),
-        })
-        .collect();
-    let (results, profile) = engine.execute_batch_profiled(&reqs);
-    let answered = results.iter().filter(|r| r.is_ok()).count();
-    println!(
-        "\nmixed execute_batch (route/sa/resolve): {} requests in {:.2?} → {:.0} req/s wall \
-         (critical path {:.2?}, lane speedup {:.1}×, {answered} ok)",
-        reqs.len(),
-        profile.wall,
-        reqs.len() as f64 / profile.wall.as_secs_f64(),
-        profile.critical_path(),
-        profile.parallel_speedup(),
-    );
 }

@@ -38,8 +38,8 @@
 //!   semantics, relationship map).
 //! * [`proto`] — the query protocol: AST, wire grammar, responses.
 //! * [`plan`] — scope resolution and the shard-bucketed batch planner.
-//! * [`engine`] — [`QueryEngine`]: ingestion, `execute`/`execute_batch`,
-//!   and the legacy per-question methods as thin wrappers.
+//! * [`engine`] — [`QueryEngine`]: ingestion and the one query entry
+//!   point, `execute`/`execute_batch`.
 //! * [`diff`] — what changed between snapshot *t* and *t+1*: new/vanished
 //!   SA prefixes, flipped relationships, churned best routes.
 //! * [`archive`] — the on-disk life of the engine (`rpi-store`):
@@ -53,8 +53,9 @@
 //!   buffers with read-side backpressure, idle shedding, and a stats
 //!   snapshot on protocol-level (`shutdown` verb) shutdown.
 //!
-//! The `rpi-queryd` binary wraps the engine in a line-oriented CLI with a
-//! `--bench` throughput mode and a `--listen` serve mode.
+//! The `rpi-queryd` binary wraps the engine in a line-oriented CLI: a
+//! stdin REPL, `--queries` files and a `--listen` serve mode, all
+//! driving the same [`serve::session::Session`].
 //!
 //! ## Quick tour
 //!
@@ -104,10 +105,7 @@ pub mod tier;
 
 pub use archive::{ArchiveInfo, SaveOptions, SegmentMeta};
 pub use diff::{RelationshipFlip, SnapshotDiff, VantageChurn};
-pub use engine::{
-    measure_series_ingest, BatchProfile, PolicySummary, QueryEngine, RouteAnswer, SaStatus,
-    SeriesIngestReport, SharingStats,
-};
+pub use engine::{PolicySummary, QueryEngine, RouteAnswer, SaStatus, SharingStats};
 pub use intern::{AsnSym, CommSym, PrefixSym, WorldInterner};
 pub use live::{
     drain_stream, follow_stream, FollowEnd, FollowReport, LiveError, LiveHandle, LiveOptions,
@@ -116,9 +114,9 @@ pub use live::{
 pub use metrics::QueryMetrics;
 pub use plan::QueryError;
 pub use proto::{
-    parse, parse_control, parse_script, render, render_response, render_scope, Control, Frame,
-    HijackEvent, HijackKind, LeakEvent, LineFramer, ParseError, PersistenceAnswer, Query,
-    QueryRequest, Response, RovAnswer, SaHistoryPoint, SaOriginCount, Scope, ScriptError, GRAMMAR,
+    parse, parse_control, render, render_response, render_scope, Control, Frame, HijackEvent,
+    HijackKind, LeakEvent, LineFramer, ParseError, PersistenceAnswer, Query, QueryRequest,
+    Response, RovAnswer, SaHistoryPoint, SaOriginCount, Scope, GRAMMAR,
 };
 pub use serve::{EngineSource, PollBackend, ServeConfig, ServeStats, Server, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotId, VantageKind};

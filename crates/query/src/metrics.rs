@@ -447,14 +447,26 @@ mod tests {
     #[test]
     fn verb_table_matches_proto() {
         use crate::proto::{Query, Scope};
-        let qs: Vec<(usize, crate::proto::QueryRequest)> = crate::proto::parse_script(
-            "route AS1 1.0.0.0/8\nresolve AS1 1.0.0.0/8\nsa AS1 1.0.0.0/8\nrel AS1 AS2\n\
-             summary AS1\ndiff @1..2\nsa-history AS1 1.0.0.0/8\nuptime AS1\ntop-sa AS1 3\n\
-             persistence AS1 1.0.0.0/8\nrov AS1 1.0.0.0/8\nhijacks\nleaks\n",
-        )
-        .expect("all verbs parse");
+        let qs: Vec<crate::proto::QueryRequest> = [
+            "route AS1 1.0.0.0/8",
+            "resolve AS1 1.0.0.0/8",
+            "sa AS1 1.0.0.0/8",
+            "rel AS1 AS2",
+            "summary AS1",
+            "diff @1..2",
+            "sa-history AS1 1.0.0.0/8",
+            "uptime AS1",
+            "top-sa AS1 3",
+            "persistence AS1 1.0.0.0/8",
+            "rov AS1 1.0.0.0/8",
+            "hijacks",
+            "leaks",
+        ]
+        .iter()
+        .map(|l| crate::proto::parse(l).expect("all verbs parse"))
+        .collect();
         assert_eq!(qs.len(), VERBS.len());
-        for (i, (_, req)) in qs.iter().enumerate() {
+        for (i, req) in qs.iter().enumerate() {
             assert_eq!(req.query.verb(), VERBS[i], "verb table out of order");
             assert_eq!(req.query.verb_index(), i, "verb_index out of order");
         }

@@ -5,15 +5,14 @@
 //!
 //! Every query — single or batched, point or history — flows through
 //! this planner via [`QueryEngine::execute`] and
-//! [`QueryEngine::execute_batch`]; the legacy `route_at_*`/`sa_status_*`
-//! methods are thin wrappers over it.
+//! [`QueryEngine::execute_batch`], the engine's only query entry points.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use bgp_types::Asn;
 
-use crate::engine::{BatchProfile, QueryEngine};
+use crate::engine::QueryEngine;
 use crate::proto::{Query, QueryRequest, Response, Scope};
 use crate::snapshot::{shard_of, SnapshotId};
 
@@ -191,7 +190,7 @@ fn classify(engine: &QueryEngine, req: &QueryRequest) -> Step {
 pub(crate) fn run_batch(
     engine: &QueryEngine,
     reqs: &[QueryRequest],
-) -> (Vec<Result<Response, QueryError>>, BatchProfile) {
+) -> Vec<Result<Response, QueryError>> {
     let wall_start = Instant::now();
     let n_shards = engine.shard_count();
     let mut results: Vec<Option<Result<Response, QueryError>>> =
@@ -224,13 +223,6 @@ pub(crate) fn run_batch(
     } else {
         let n_chunks = (workers * 4).min(general.len());
         general.chunks(general.len().div_ceil(n_chunks)).collect()
-    };
-
-    let mut profile = BatchProfile {
-        wall: Duration::ZERO,
-        shard_busy: vec![Duration::ZERO; n_shards],
-        general_busy: vec![Duration::ZERO; general_chunks.len()],
-        threads: workers,
     };
 
     // A bucket is (lane, work); lanes 0..n_shards are shard buckets
@@ -279,10 +271,8 @@ pub(crate) fn run_batch(
         for h in handles {
             for (lane, busy, answers) in h.join().expect("batch worker panicked") {
                 if lane < n_shards {
-                    profile.shard_busy[lane] = busy;
                     engine.metrics.plan_lane_shard_seconds.record(busy);
                 } else {
-                    profile.general_busy[lane - n_shards] = busy;
                     engine.metrics.plan_lane_general_seconds.record(busy);
                 }
                 for (i, answer) in answers {
@@ -292,11 +282,12 @@ pub(crate) fn run_batch(
         }
     });
 
-    profile.wall = wall_start.elapsed();
-    engine.metrics.plan_batch_seconds.record(profile.wall);
-    let results = results
+    engine
+        .metrics
+        .plan_batch_seconds
+        .record(wall_start.elapsed());
+    results
         .into_iter()
         .map(|r| r.expect("every request routed to a lane"))
-        .collect();
-    (results, profile)
+        .collect()
 }

@@ -9,8 +9,7 @@
 //! wire: a [`Scope::Label`] containing whitespace — the grammar is line-
 //! and word-oriented, so ingest labels must be whitespace-free to be
 //! addressable — and a reversed [`Scope::Range`] on anything but `diff`,
-//! which the engine rejects anyway.) [`parse_script`] parses a whole
-//! query file and reports errors with 1-based line numbers.
+//! which the engine rejects anyway.)
 //!
 //! ## The grammar
 //!
@@ -407,23 +406,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A [`ParseError`] located in a multi-line query script.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScriptError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What went wrong there.
-    pub error: ParseError,
-}
-
-impl fmt::Display for ScriptError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.error)
-    }
-}
-
-impl std::error::Error for ScriptError {}
-
 /// The grammar table, one query form per line (what `help` prints and
 /// unknown-query errors append).
 pub const GRAMMAR: &str = "\
@@ -513,7 +495,7 @@ pub fn render_scope(scope: &Scope) -> String {
 
 /// Parses one query line into a request. Leading/trailing whitespace is
 /// ignored; the line must not be empty or a `#` comment (callers skip
-/// those — [`parse_script`] does).
+/// those — a [`Session`](crate::serve::session::Session) does).
 pub fn parse(line: &str) -> Result<QueryRequest, ParseError> {
     let mut words: Vec<&str> = line.split_whitespace().collect();
     let scope = match words.last() {
@@ -769,25 +751,6 @@ impl LineFramer {
         }
         out
     }
-}
-
-/// Parses a whole query script: blank lines and `#` comments are
-/// skipped, every other line must be a grammar query. Returns the
-/// requests with their 1-based line numbers, or the first error located
-/// by line.
-pub fn parse_script(text: &str) -> Result<Vec<(usize, QueryRequest)>, ScriptError> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        match parse(trimmed) {
-            Ok(req) => out.push((i + 1, req)),
-            Err(error) => return Err(ScriptError { line: i + 1, error }),
-        }
-    }
-    Ok(out)
 }
 
 /// Renders a request as its canonical grammar line (scope always
@@ -1242,14 +1205,5 @@ mod tests {
                 length: 10
             }]
         );
-    }
-
-    #[test]
-    fn scripts_locate_errors_by_line() {
-        let err = parse_script("# header\nroute AS1 10.0.0.0/8\n\nbogus AS1\n").unwrap_err();
-        assert_eq!(err.line, 4);
-        assert!(matches!(err.error, ParseError::UnknownQuery(_)));
-        let ok = parse_script("# only comments\n\n").unwrap();
-        assert!(ok.is_empty());
     }
 }

@@ -1,34 +1,28 @@
-//! The per-connection state machine: nonblocking reads feed the
-//! [`LineFramer`], completed frames are classified by the shared
-//! [`session`](super::session) semantics, every parseable query in the
-//! read is executed as **one** engine batch (pipelining), and rendered
-//! responses accumulate in a bounded write buffer that drains as the
-//! socket accepts bytes.
+//! One client connection's socket work: nonblocking reads feed the
+//! connection's [`Session`] (which frames, batch-executes and renders
+//! into the connection's write buffer), and the buffer drains as the
+//! socket accepts bytes. Also here: FIN after the final flush, the
+//! discard linger of a closing connection, and the accept-to-first-byte
+//! latency.
 //!
 //! Partial reads and partial writes are normal states, not errors: a
-//! query split across two TCP segments reassembles in the framer, and a
-//! response the peer is slow to read simply stays buffered (until the
-//! event loop's backpressure cap stops further reads, and eventually the
-//! idle timeout sheds the connection).
+//! query split across two TCP segments reassembles in the session's
+//! framer, and a response the peer is slow to read simply stays
+//! buffered (until the event loop's backpressure cap stops further
+//! reads, and eventually the idle timeout sheds the connection).
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
 use crate::engine::QueryEngine;
-use crate::proto::{render_response, Control, Frame, LineFramer};
-use crate::serve::session::{classify_line, repl_reply, Line};
+use crate::serve::session::{push_line, End, Session};
 
 /// What one read-and-process step observed.
 #[derive(Debug, Default)]
 pub(crate) struct ReadOutcome {
     /// Bytes consumed from the socket.
     pub bytes_in: u64,
-    /// In-band error responses emitted (garbage + oversized lines and
-    /// execution errors).
-    pub errors: u64,
-    /// The peer half-closed (EOF): flush what remains, then close.
-    pub eof: bool,
     /// A `shutdown` control line arrived: stop the whole server.
     pub shutdown: bool,
 }
@@ -36,8 +30,7 @@ pub(crate) struct ReadOutcome {
 /// One client connection.
 pub(crate) struct Conn {
     stream: TcpStream,
-    framer: LineFramer,
-    max_line_len: usize,
+    session: Session,
     wbuf: Vec<u8>,
     wpos: usize,
     /// After `quit`/`shutdown`/EOF: stop reading, flush, then close.
@@ -66,8 +59,7 @@ impl Conn {
         let _ = stream.set_nodelay(true);
         Ok(Conn {
             stream,
-            framer: LineFramer::new(max_line_len),
-            max_line_len,
+            session: Session::new(max_line_len),
             wbuf: Vec::new(),
             wpos: 0,
             closing: false,
@@ -151,9 +143,9 @@ impl Conn {
         Ok(written)
     }
 
-    /// One nonblocking read, then frame/classify/execute/render. All the
-    /// read's parseable queries go through the engine as a single batch,
-    /// so a client that writes N lines per segment gets the planner's
+    /// One nonblocking read, handed to the session. All the read's
+    /// parseable queries go through the engine as a single batch, so a
+    /// client that writes N lines per segment gets the planner's
     /// shard-parallel execution for free.
     pub(crate) fn read_and_process(
         &mut self,
@@ -161,170 +153,43 @@ impl Conn {
         rbuf: &mut [u8],
     ) -> io::Result<ReadOutcome> {
         let mut out = ReadOutcome::default();
-        let n = match self.stream.read(rbuf) {
+        let end = match self.stream.read(rbuf) {
             Ok(0) => {
-                // EOF still answers a final unterminated line — the
-                // stdin path would (str::lines yields it), and the TCP
-                // path must match it byte for byte.
-                let tail: Vec<Frame> = self.framer.finish().into_iter().collect();
-                if !tail.is_empty() {
-                    self.process_frames(engine, tail, &mut out);
-                }
-                out.eof = true;
-                return Ok(out);
+                // The peer half-closed: flush what remains, then close.
+                self.closing = true;
+                self.session
+                    .finish(engine, &mut self.wbuf, &mut spell_error)
             }
-            Ok(n) => n,
+            Ok(n) => {
+                out.bytes_in = n as u64;
+                if !self.saw_first_byte {
+                    self.saw_first_byte = true;
+                    engine
+                        .metrics()
+                        .serve_accept_to_first_byte_seconds
+                        .record(self.accepted_at.elapsed());
+                }
+                self.session
+                    .feed(engine, &rbuf[..n], &mut self.wbuf, &mut spell_error)
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(out),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(out),
             Err(e) => return Err(e),
         };
-        out.bytes_in = n as u64;
-        if !self.saw_first_byte {
-            self.saw_first_byte = true;
-            engine
-                .metrics()
-                .serve_accept_to_first_byte_seconds
-                .record(self.accepted_at.elapsed());
+        if let Some(end) = end {
+            self.closing = true;
+            out.shutdown = end == End::Shutdown;
         }
-        let frames = self.framer.push(&rbuf[..n]);
-        self.process_frames(engine, frames, &mut out);
         Ok(out)
-    }
-
-    /// Classifies the completed frames (stopping at a session-ending
-    /// control), batch-executes the queries among them, and renders
-    /// every output line *in input order* into the write buffer.
-    fn process_frames(&mut self, engine: &QueryEngine, frames: Vec<Frame>, out: &mut ReadOutcome) {
-        // The raw text rides along so a slow segment can quote its first
-        // query verbatim in the slowlog.
-        let mut items: Vec<(usize, Line, String)> = Vec::with_capacity(frames.len());
-        for frame in frames {
-            match frame {
-                Frame::Line { line, text } => {
-                    let class = classify_line(&text);
-                    let ends = matches!(
-                        class,
-                        Line::Control(Control::Quit) | Line::Control(Control::Shutdown)
-                    );
-                    items.push((line, class, text));
-                    if ends {
-                        // Lines pipelined after a quit are not executed —
-                        // the same contract as a `--queries` file.
-                        break;
-                    }
-                }
-                Frame::Oversized { line, length } => items.push((
-                    line,
-                    Line::Bad(format!(
-                        "line too long ({length}+ bytes, cap {})",
-                        self.max_line_len
-                    )),
-                    String::new(),
-                )),
-            }
-        }
-
-        // Pipelining: every REPL-free run of this read's queries is one
-        // engine batch. REPL listings split the runs: a listing reports
-        // live engine counters (ROV cache stats, per-verb counts), so it
-        // must observe the engine exactly where a line-by-line stdin
-        // session would — queries pipelined *after* it in the same read
-        // execute only after its reply is rendered.
-        let mut start = 0;
-        loop {
-            let end = items[start..]
-                .iter()
-                .position(|(_, l, _)| matches!(l, Line::Repl(_)))
-                .map_or(items.len(), |p| start + p);
-            self.run_segment(engine, &items[start..end], out);
-            let Some((_, Line::Repl(cmd), _)) = items.get(end) else {
-                break;
-            };
-            let reply = repl_reply(engine, *cmd);
-            self.push_output(&reply);
-            start = end + 1;
-        }
-    }
-
-    /// Executes one REPL-free run of classified lines — its queries as a
-    /// single engine batch (a lone query skips the batch planner's thread
-    /// scaffolding) — rendering every output line in input order.
-    fn run_segment(
-        &mut self,
-        engine: &QueryEngine,
-        segment: &[(usize, Line, String)],
-        out: &mut ReadOutcome,
-    ) {
-        let reqs: Vec<_> = segment
-            .iter()
-            .filter_map(|(_, l, _)| match l {
-                Line::Query(req) => Some(req.clone()),
-                _ => None,
-            })
-            .collect();
-        // Latency is the whole segment — execute *and* render — because
-        // that is what the client observes between its last pipelined
-        // byte and the first response byte being queued. Every query in
-        // the segment is attributed the segment's wall time.
-        let seg_start = (!reqs.is_empty()).then(Instant::now);
-        let mut answers = if reqs.len() > 1 {
-            engine.execute_batch(&reqs).into_iter()
-        } else {
-            reqs.iter()
-                .map(|r| engine.execute(r))
-                .collect::<Vec<_>>()
-                .into_iter()
-        };
-
-        for (line_no, item, _) in segment {
-            match item {
-                Line::Skip => {}
-                Line::Control(Control::Ping) => self.push_output("pong"),
-                Line::Control(Control::Quit) => self.closing = true,
-                Line::Control(Control::Shutdown) => {
-                    self.closing = true;
-                    out.shutdown = true;
-                }
-                Line::Repl(_) => unreachable!("segments are split at REPL commands"),
-                Line::Query(req) => match answers.next().expect("one answer per batched query") {
-                    Ok(resp) => self.push_output(&render_response(req, &resp)),
-                    Err(e) => {
-                        out.errors += 1;
-                        self.push_output(&format!("error line {line_no}: {e}"));
-                    }
-                },
-                Line::Bad(msg) => {
-                    out.errors += 1;
-                    self.push_output(&format!("error line {line_no}: {msg}"));
-                }
-            }
-        }
-
-        if let Some(t0) = seg_start {
-            let elapsed = t0.elapsed();
-            let m = engine.metrics();
-            for req in &reqs {
-                let v = req.query.verb_index();
-                m.serve_queries_total[v].inc();
-                m.serve_query_seconds[v].record(elapsed);
-            }
-            if m.slow_threshold().is_some_and(|thr| elapsed >= thr) {
-                let first = segment
-                    .iter()
-                    .find_map(|(_, l, text)| matches!(l, Line::Query(_)).then_some(text.trim()))
-                    .unwrap_or("");
-                m.push_slow(elapsed, reqs.len() as u64, first);
-            }
-        }
-    }
-
-    fn push_output(&mut self, text: &str) {
-        self.wbuf.extend_from_slice(text.as_bytes());
-        self.wbuf.push(b'\n');
     }
 
     /// Queues a server-originated notice (used for overload rejection).
     pub(crate) fn push_notice(&mut self, text: &str) {
-        self.push_output(text);
+        push_line(&mut self.wbuf, text);
     }
+}
+
+/// The TCP spelling of a failed line: an in-band response naming it.
+fn spell_error(out: &mut Vec<u8>, line: usize, msg: &str) {
+    push_line(out, &format!("error line {line}: {msg}"));
 }

@@ -638,10 +638,6 @@ impl<'a> Shard<'a> {
                         m.serve_bytes_in_total.add(out.bytes_in);
                         c.last_activity = now;
                     }
-                    m.serve_errors_total.add(out.errors);
-                    if out.eof {
-                        c.closing = true;
-                    }
                     if out.shutdown {
                         self.shutdown.store(true, Ordering::Relaxed);
                     }

@@ -1,10 +1,11 @@
 //! # `rpi_query::serve` — the non-blocking TCP front end
 //!
 //! Turns a shared [`QueryEngine`](crate::QueryEngine) into a network
-//! service speaking the same newline-delimited [`proto`](crate::proto)
-//! grammar as the stdin REPL — byte-identically, which the CI network
-//! smoke enforces by diffing TCP-served output for the committed smoke
-//! script against the stdin golden.
+//! service speaking the newline-delimited [`proto`](crate::proto)
+//! grammar. Each connection drives a [`session::Session`] — the same
+//! state machine the daemon's stdin REPL and `--queries` files drive —
+//! so TCP-served output is byte-identical to the stdin golden (the CI
+//! network smoke diffs it) and both count into the same metrics.
 //!
 //! The design is a readiness event loop over nonblocking std sockets
 //! (no tokio, no mio — the build is registry-free). Readiness comes
@@ -17,13 +18,14 @@
 //! additionally lives where it always did, in the engine's
 //! shard-bucketed [`execute_batch`](crate::QueryEngine::execute_batch):
 //!
-//! * **Framing** ([`LineFramer`](crate::proto::LineFramer)): requests
-//!   are lines; a query byte-split across TCP segments reassembles, and
-//!   a line over the cap becomes one in-band `error line N: …` response
-//!   instead of unbounded buffering — the connection survives.
-//! * **Pipelining**: every parseable query in one read is executed as a
-//!   single engine batch, so a client that writes N lines per segment
-//!   gets shard-parallel execution without any protocol change.
+//! * **Framing** (in the session, over
+//!   [`LineFramer`](crate::proto::LineFramer)): requests are lines; a
+//!   query byte-split across TCP segments reassembles, and a line over
+//!   the cap becomes one in-band `error line N: …` response instead of
+//!   unbounded buffering — the connection survives.
+//! * **Pipelining**: the session executes every parseable query in one
+//!   read as a single engine batch, so a client that writes N lines per
+//!   segment gets shard-parallel execution without any protocol change.
 //! * **Backpressure**: each connection's rendered-but-unsent output is
 //!   bounded by [`ServeConfig::write_buf_cap`]; past it the server stops
 //!   *reading* that connection until the buffer drains, so a slow

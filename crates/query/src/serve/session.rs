@@ -1,17 +1,231 @@
-//! One session semantics for every front end.
+//! One session for every front end.
 //!
 //! A "session" is a stream of grammar lines — the stdin REPL, a
-//! `--queries` file, or one TCP connection. This module defines what a
-//! line *means* ([`classify_line`]) and renders the REPL listing
-//! commands ([`repl_reply`]), so the daemon's stdin path and the
-//! [`serve`](crate::serve) front end produce **byte-identical** output
-//! for the same lines — the property the CI network smoke diffs.
+//! `--queries` file, or one TCP connection. [`Session`] is the whole
+//! transport-agnostic state machine: it frames arbitrarily chunked bytes
+//! into lines ([`LineFramer`]), gives each line its meaning
+//! ([`classify_line`]), executes every REPL-free run of a chunk's
+//! queries as one engine batch, and renders the answers in input order
+//! into the caller's buffer. REPL listings render through
+//! [`repl_reply`]. The transport only moves bytes and spells errors, so
+//! the daemon's stdin path and the [`serve`](crate::serve) front end
+//! produce **byte-identical** output for the same lines and count
+//! queries and errors in the same metrics.
+
+use std::time::Instant;
 
 use rpi_store::SegmentKind;
 
 use crate::engine::QueryEngine;
-use crate::proto::{parse, parse_control, Control, ParseError, QueryRequest, GRAMMAR};
+use crate::proto::{
+    parse, parse_control, render_response, Control, Frame, LineFramer, ParseError, QueryRequest,
+    GRAMMAR,
+};
 use crate::snapshot::{SnapshotId, VantageKind};
+
+/// Which control line ended a session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum End {
+    /// `quit` / `exit`: this session is over.
+    Quit,
+    /// `shutdown`: this session is over, and a server should stop too.
+    Shutdown,
+}
+
+/// How a transport spells one failed line into its output: the buffer
+/// rendered so far, the failed line's 1-based number, and the message.
+pub type OnError<'a> = dyn FnMut(&mut Vec<u8>, usize, &str) + 'a;
+
+/// The per-session state machine: framing → classify → batch-execute →
+/// render. Feed it bytes as they arrive, in any chunking; the rendered
+/// output is the same bytes either way, because REPL listings split a
+/// chunk's batches exactly where a line-by-line session would observe
+/// the engine.
+#[derive(Debug)]
+pub struct Session {
+    framer: LineFramer,
+    max_line_len: usize,
+    ended: Option<End>,
+}
+
+impl Session {
+    /// A fresh session refusing lines longer than `max_line_len` bytes
+    /// (they become one in-band error each).
+    pub fn new(max_line_len: usize) -> Session {
+        Session {
+            framer: LineFramer::new(max_line_len),
+            max_line_len,
+            ended: None,
+        }
+    }
+
+    /// Processes one chunk of the byte stream against `engine`: every
+    /// line it completes is answered into `out`, errors are spelled by
+    /// `on_error`. Returns the control line that ended the session, if
+    /// one has arrived; after it, further input is ignored (lines after
+    /// `quit` are never executed).
+    pub fn feed(
+        &mut self,
+        engine: &QueryEngine,
+        bytes: &[u8],
+        out: &mut Vec<u8>,
+        on_error: &mut OnError<'_>,
+    ) -> Option<End> {
+        if self.ended.is_none() {
+            let frames = self.framer.push(bytes);
+            self.process(engine, frames, out, on_error);
+        }
+        self.ended
+    }
+
+    /// The end of the stream: answers a final unterminated line, the
+    /// way `str::lines` yields one — a TCP peer that half-closes after
+    /// an unterminated query gets what a file would.
+    pub fn finish(
+        &mut self,
+        engine: &QueryEngine,
+        out: &mut Vec<u8>,
+        on_error: &mut OnError<'_>,
+    ) -> Option<End> {
+        if self.ended.is_none() {
+            let tail: Vec<Frame> = self.framer.finish().into_iter().collect();
+            self.process(engine, tail, out, on_error);
+        }
+        self.ended
+    }
+
+    /// Classifies the completed frames (stopping at a session-ending
+    /// control), batch-executes the queries among them, and renders
+    /// every output line *in input order*.
+    fn process(
+        &mut self,
+        engine: &QueryEngine,
+        frames: Vec<Frame>,
+        out: &mut Vec<u8>,
+        on_error: &mut OnError<'_>,
+    ) {
+        // The raw text rides along so a slow segment can quote its first
+        // query verbatim in the slowlog.
+        let mut items: Vec<(usize, Line, String)> = Vec::with_capacity(frames.len());
+        for frame in frames {
+            match frame {
+                Frame::Line { line, text } => {
+                    let class = classify_line(&text);
+                    let end = match class {
+                        Line::Control(Control::Quit) => Some(End::Quit),
+                        Line::Control(Control::Shutdown) => Some(End::Shutdown),
+                        _ => None,
+                    };
+                    items.push((line, class, text));
+                    if end.is_some() {
+                        // Lines after a quit are not executed.
+                        self.ended = end;
+                        break;
+                    }
+                }
+                Frame::Oversized { line, length } => items.push((
+                    line,
+                    Line::Bad(format!(
+                        "line too long ({length}+ bytes, cap {})",
+                        self.max_line_len
+                    )),
+                    String::new(),
+                )),
+            }
+        }
+
+        // Pipelining: every REPL-free run of this chunk's queries is one
+        // engine batch. REPL listings split the runs: a listing reports
+        // live engine counters (ROV cache stats, per-verb counts), so it
+        // must observe the engine exactly where a line-by-line session
+        // would — queries *after* it in the same chunk execute only
+        // after its reply is rendered.
+        let mut start = 0;
+        loop {
+            let end = items[start..]
+                .iter()
+                .position(|(_, l, _)| matches!(l, Line::Repl(_)))
+                .map_or(items.len(), |p| start + p);
+            run_segment(engine, &items[start..end], out, on_error);
+            let Some((_, Line::Repl(cmd), _)) = items.get(end) else {
+                break;
+            };
+            push_line(out, &repl_reply(engine, *cmd));
+            start = end + 1;
+        }
+    }
+}
+
+/// Executes one REPL-free run of classified lines — its queries as a
+/// single engine batch (a lone query skips the batch planner's thread
+/// scaffolding) — rendering every output line in input order.
+fn run_segment(
+    engine: &QueryEngine,
+    segment: &[(usize, Line, String)],
+    out: &mut Vec<u8>,
+    on_error: &mut OnError<'_>,
+) {
+    let reqs: Vec<_> = segment
+        .iter()
+        .filter_map(|(_, l, _)| match l {
+            Line::Query(req) => Some(req.clone()),
+            _ => None,
+        })
+        .collect();
+    // Latency is the whole segment — execute *and* render — because
+    // that is what the client observes between its last pipelined byte
+    // and the first response byte being queued. Every query in the
+    // segment is attributed the segment's wall time.
+    let seg_start = (!reqs.is_empty()).then(Instant::now);
+    let mut answers = if reqs.len() > 1 {
+        engine.execute_batch(&reqs).into_iter()
+    } else {
+        reqs.iter()
+            .map(|r| engine.execute(r))
+            .collect::<Vec<_>>()
+            .into_iter()
+    };
+
+    let m = engine.metrics();
+    let mut fail = |out: &mut Vec<u8>, line: usize, msg: &str| {
+        m.serve_errors_total.inc();
+        on_error(out, line, msg);
+    };
+    for (line_no, item, _) in segment {
+        match item {
+            Line::Skip | Line::Control(Control::Quit) | Line::Control(Control::Shutdown) => {}
+            Line::Control(Control::Ping) => push_line(out, "pong"),
+            Line::Repl(_) => unreachable!("segments are split at REPL commands"),
+            Line::Query(req) => match answers.next().expect("one answer per batched query") {
+                Ok(resp) => push_line(out, &render_response(req, &resp)),
+                Err(e) => fail(out, *line_no, &e.to_string()),
+            },
+            Line::Bad(msg) => fail(out, *line_no, msg),
+        }
+    }
+
+    if let Some(t0) = seg_start {
+        let elapsed = t0.elapsed();
+        for req in &reqs {
+            let v = req.query.verb_index();
+            m.serve_queries_total[v].inc();
+            m.serve_query_seconds[v].record(elapsed);
+        }
+        if m.slow_threshold().is_some_and(|thr| elapsed >= thr) {
+            let first = segment
+                .iter()
+                .find_map(|(_, l, text)| matches!(l, Line::Query(_)).then_some(text.trim()))
+                .unwrap_or("");
+            m.push_slow(elapsed, reqs.len() as u64, first);
+        }
+    }
+}
+
+/// Appends one newline-terminated output line.
+pub(crate) fn push_line(out: &mut Vec<u8>, text: &str) {
+    out.extend_from_slice(text.as_bytes());
+    out.push(b'\n');
+}
 
 /// What the REPL line said, beyond the query grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +311,8 @@ pub fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
-/// Renders a listing command exactly as the stdin REPL prints it (no
-/// trailing newline; callers add their own framing).
+/// Renders a listing command's reply (no trailing newline; the
+/// [`Session`] adds the line framing).
 pub fn repl_reply(engine: &QueryEngine, cmd: ReplCmd) -> String {
     match cmd {
         ReplCmd::Help => format!(
@@ -295,5 +509,48 @@ mod tests {
             Line::Query(_)
         ));
         assert!(matches!(classify_line("frobnicate AS1"), Line::Bad(_)));
+    }
+
+    /// Runs `text` through one session, returning the rendered output
+    /// and every (line, message) error report.
+    fn run(engine: &QueryEngine, text: &str) -> (String, Vec<(usize, String)>, Option<End>) {
+        let mut session = Session::new(64);
+        let mut out = Vec::new();
+        let mut errors = Vec::new();
+        let mut on_error = |_: &mut Vec<u8>, line: usize, msg: &str| {
+            errors.push((line, msg.to_string()));
+        };
+        session.feed(engine, text.as_bytes(), &mut out, &mut on_error);
+        let end = session.finish(engine, &mut out, &mut on_error);
+        (String::from_utf8(out).unwrap(), errors, end)
+    }
+
+    #[test]
+    fn errors_are_located_by_line() {
+        let engine = QueryEngine::new(2);
+        let (out, errors, end) = run(&engine, "# header\nroute AS1 10.0.0.0/8\n\nbogus AS1\nping");
+        assert_eq!(out, "pong\n");
+        assert_eq!(end, None);
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        // Line 2 parses but has nothing to answer from; line 4 does not
+        // parse. Blank and comment lines still count toward numbering.
+        assert_eq!(errors[0], (2, "no snapshots ingested".to_string()));
+        assert_eq!(errors[1].0, 4);
+        assert!(errors[1].1.starts_with("unknown query 'bogus'"));
+        assert_eq!(engine.metrics().serve_errors_total.get(), 2);
+        let (out, errors, _) = run(&engine, "# only comments\n\n");
+        assert!(out.is_empty() && errors.is_empty());
+    }
+
+    #[test]
+    fn lines_after_an_ending_control_are_not_executed() {
+        let engine = QueryEngine::new(2);
+        let (out, errors, end) = run(&engine, "ping\nquit\nping\nbogus\n");
+        assert_eq!(
+            (out.as_str(), errors.len(), end),
+            ("pong\n", 0, Some(End::Quit))
+        );
+        let (out, _, end) = run(&engine, "shutdown\nping\n");
+        assert_eq!((out.as_str(), end), ("", Some(End::Shutdown)));
     }
 }

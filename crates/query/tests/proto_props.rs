@@ -10,7 +10,8 @@
 use rand::prelude::*;
 
 use bgp_types::{Asn, Ipv4Prefix};
-use rpi_query::{parse, parse_script, render, Query, QueryRequest, Scope, SnapshotId};
+use rpi_query::serve::session::Session;
+use rpi_query::{parse, render, Query, QueryEngine, QueryRequest, Scope, SnapshotId};
 
 const CASES: usize = 512;
 
@@ -236,7 +237,18 @@ fn scripts_report_the_right_line() {
         let bad_at = rng.gen_range(0..=lines.len());
         lines.insert(bad_at, "definitely-not-a-query x y".into());
         let text = lines.join("\n");
-        let err = parse_script(&text).expect_err("script contains a bad line");
-        assert_eq!(err.line, bad_at + 1, "in script:\n{text}");
+        // The session reads the script; on an empty engine every valid
+        // line fails to execute, so pick out the parse error.
+        let engine = QueryEngine::new(2);
+        let mut session = Session::new(1 << 14);
+        let mut bad_lines = Vec::new();
+        let mut on_error = |_: &mut Vec<u8>, line: usize, msg: &str| {
+            if msg.starts_with("unknown query 'definitely-not-a-query'") {
+                bad_lines.push(line);
+            }
+        };
+        session.feed(&engine, text.as_bytes(), &mut Vec::new(), &mut on_error);
+        session.finish(&engine, &mut Vec::new(), &mut on_error);
+        assert_eq!(bad_lines, vec![bad_at + 1], "in script:\n{text}");
     }
 }

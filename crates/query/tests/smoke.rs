@@ -274,6 +274,152 @@ fn tcp_served_queries_match_the_stdin_golden() {
     }
 }
 
+/// Runs the daemon with `args`, `input` piped to its stdin, and returns
+/// its stdout (the run must succeed).
+fn run_with_stdin(args: &[&str], input: &str) -> String {
+    use std::io::Write as _;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+        .args(args)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("rpi-queryd spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("script written to stdin");
+    let out = child.wait_with_output().expect("rpi-queryd runs");
+    assert!(
+        out.status.success(),
+        "rpi-queryd failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// The REPL face of the golden: the smoke script piped to stdin (no
+/// `--queries`) renders byte-identically to the `--queries` golden. A
+/// piped stdin is not a terminal, so no `> ` prompt is printed.
+#[test]
+fn stdin_repl_matches_the_golden() {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let script = std::fs::read_to_string(data.join("smoke.q")).expect("script committed");
+    let golden = std::fs::read_to_string(data.join("smoke.golden")).expect("golden committed");
+    let roas = data.join("smoke.roas");
+    let stdout = run_with_stdin(
+        &[
+            "--size",
+            "tiny",
+            "--seed",
+            "11",
+            "--snapshots",
+            "4",
+            "--shards",
+            "4",
+            "--roas",
+            roas.to_str().expect("utf-8 path"),
+        ],
+        &script,
+    );
+    assert_eq!(
+        stdout, golden,
+        "stdin REPL diverged from tests/data/smoke.golden"
+    );
+}
+
+/// Counter parity: a script with one bad line, then `metrics`, reports
+/// the same per-verb query counts and the same error count whether it
+/// arrives over stdin or over TCP — both front ends drive one session.
+#[test]
+fn stdin_and_tcp_count_queries_and_errors_alike() {
+    use std::io::{BufRead, BufReader, Read as _, Write as _};
+
+    let script =
+        "route AS1 4.0.0.0/13\nsa AS1 4.0.0.0/13\nfrobnicate AS1\nrel AS1 AS701\nmetrics\n";
+    let counters = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| {
+                l.starts_with("rpi_serve_queries_total{") || l.starts_with("rpi_serve_errors_total")
+            })
+            .map(str::to_string)
+            .collect()
+    };
+    let world = ["--size", "tiny", "--seed", "11"];
+
+    let stdin_counters = counters(&run_with_stdin(&world, script));
+    assert!(
+        stdin_counters.contains(&"rpi_serve_errors_total 1".to_string()),
+        "stdin must count its bad line: {stdin_counters:?}"
+    );
+    for verb in ["route", "sa", "rel"] {
+        let line = format!("rpi_serve_queries_total{{verb=\"{verb}\"}} 1");
+        assert!(
+            stdin_counters.contains(&line),
+            "missing {line}: {stdin_counters:?}"
+        );
+    }
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+        .args(world)
+        .args(["--listen", "127.0.0.1:0"])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("rpi-queryd spawns");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let addr = loop {
+        let mut line = String::new();
+        assert_ne!(
+            stderr.read_line(&mut line).unwrap(),
+            0,
+            "daemon exited early"
+        );
+        if let Some(rest) = line.strip_prefix("serving on ") {
+            break rest.split_whitespace().next().unwrap().to_string();
+        }
+    };
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect to daemon");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    conn.write_all(script.as_bytes()).unwrap();
+    conn.write_all(b"shutdown\n").unwrap();
+    let mut got = String::new();
+    conn.read_to_string(&mut got)
+        .expect("responses until close");
+    assert!(child.wait().expect("daemon exits").success());
+
+    assert_eq!(
+        counters(&got),
+        stdin_counters,
+        "stdin and TCP counters differ"
+    );
+}
+
+/// Bugfix coverage: `--window` tunes live ingest, so it needs `--follow`
+/// even when its value is the default.
+#[test]
+fn window_without_follow_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+        .args(["--size", "tiny", "--window", "4"])
+        .output()
+        .expect("rpi-queryd runs");
+    assert!(
+        !out.status.success(),
+        "--window 4 without --follow must fail"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--window/--spill tune live ingest; they need --follow"),
+        "error must name the missing flag:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("building"),
+        "must fail before the world build:\n{stderr}"
+    );
+}
+
 /// Bugfix coverage: a missing `--queries` file is a one-line error
 /// *before* the expensive world build, never a panic.
 #[test]

@@ -1,15 +1,49 @@
 //! Cache coherence of the serving layer: every answer the `rpi-query`
-//! observatory serves from its precomputed indexes must agree with the
-//! direct `rpi_core` analysis it caches.
+//! observatory serves from its precomputed indexes — asked through
+//! `execute`, its one query entry point — must agree with the direct
+//! `rpi_core` analysis it caches.
 
 use internet_routing_policies::prelude::*;
-use rpi_query::{RouteAnswer, VantageKind};
+use rpi_query::{PolicySummary, RouteAnswer, VantageKind};
 
 fn world() -> (Experiment, QueryEngine) {
     let exp = Experiment::standard(InternetSize::Tiny, 11);
     let mut engine = QueryEngine::new(4);
     engine.ingest_experiment(&exp, "t0");
     (exp, engine)
+}
+
+fn route(
+    engine: &QueryEngine,
+    scope: Scope,
+    vantage: Asn,
+    prefix: Ipv4Prefix,
+) -> Option<RouteAnswer> {
+    match engine.execute(&Query::Route { vantage, prefix }.at(scope)) {
+        Ok(Response::Route(ans)) => ans,
+        other => panic!("route {prefix} at {vantage}: {other:?}"),
+    }
+}
+
+fn sa(engine: &QueryEngine, vantage: Asn, prefix: Ipv4Prefix) -> SaStatus {
+    match engine.execute(&Query::SaStatus { vantage, prefix }.at(Scope::Latest)) {
+        Ok(Response::Sa(status)) => status,
+        other => panic!("sa {prefix} at {vantage}: {other:?}"),
+    }
+}
+
+fn rel(engine: &QueryEngine, a: Asn, b: Asn) -> Option<Relationship> {
+    match engine.execute(&Query::Relationship { a, b }.at(Scope::Latest)) {
+        Ok(Response::Relationship(rel)) => rel,
+        other => panic!("rel {a} {b}: {other:?}"),
+    }
+}
+
+fn summary(engine: &QueryEngine, asn: Asn) -> Option<PolicySummary> {
+    match engine.execute(&Query::PolicySummary { asn }.at(Scope::Latest)) {
+        Ok(Response::Summary(s)) => s,
+        other => panic!("summary {asn}: {other:?}"),
+    }
 }
 
 #[test]
@@ -20,8 +54,7 @@ fn routes_agree_with_best_tables() {
         let table = exp.lg_table(lg).unwrap();
         assert!(!table.rows.is_empty());
         for (&prefix, row) in &table.rows {
-            let ans = engine
-                .route_at(lg, prefix)
+            let ans = route(&engine, Scope::Latest, lg, prefix)
                 .unwrap_or_else(|| panic!("missing route for {prefix} at {lg}"));
             assert_eq!(ans.next_hop, row.next_hop, "{prefix} at {lg}");
             assert_eq!(ans.path, row.path, "{prefix} at {lg}");
@@ -37,14 +70,18 @@ fn routes_agree_with_best_tables() {
         .expect("some collector-only peer");
     let table = exp.collector_table(peer);
     for (&prefix, row) in &table.rows {
-        let ans = engine.route_at(peer, prefix).unwrap();
+        let ans = route(&engine, Scope::Latest, peer, prefix).unwrap();
         assert_eq!(ans.next_hop, row.next_hop);
         assert_eq!(ans.path, row.path);
     }
     // A vantage the world has never heard of answers nothing.
-    assert!(engine
-        .route_at(Asn(999_999), "10.0.0.0/8".parse().unwrap())
-        .is_none());
+    assert!(route(
+        &engine,
+        Scope::Latest,
+        Asn(999_999),
+        "10.0.0.0/8".parse().unwrap()
+    )
+    .is_none());
 }
 
 #[test]
@@ -56,7 +93,7 @@ fn sa_status_agrees_with_fig4_reports() {
         let mut sa_seen = 0;
         let mut exported_seen = 0;
         for &prefix in table.rows.keys() {
-            match engine.sa_status(lg, prefix) {
+            match sa(&engine, lg, prefix) {
                 SaStatus::SelectivelyAnnounced { origin } => {
                     sa_seen += 1;
                     assert!(
@@ -93,8 +130,8 @@ fn relationships_agree_with_inferred_graph() {
     let (exp, engine) = world();
     let mut compared = 0;
     for a in exp.inferred_graph.ases() {
-        for (b, rel) in exp.inferred_graph.neighbors(a) {
-            assert_eq!(engine.relationship(a, b), Some(rel), "{a} – {b}");
+        for (b, r) in exp.inferred_graph.neighbors(a) {
+            assert_eq!(rel(&engine, a, b), Some(r), "{a} – {b}");
             compared += 1;
         }
     }
@@ -102,16 +139,14 @@ fn relationships_agree_with_inferred_graph() {
     // Non-adjacent pairs answer None.
     let mut ases = exp.inferred_graph.ases();
     let a = ases.next().unwrap();
-    assert_eq!(engine.relationship(a, Asn(424_242)), None);
+    assert_eq!(rel(&engine, a, Asn(424_242)), None);
 }
 
 #[test]
 fn summaries_agree_with_direct_analyses() {
     let (exp, engine) = world();
     for &lg in &exp.spec.lg_ases {
-        let s = engine
-            .policy_summary(lg)
-            .expect("LG vantages have summaries");
+        let s = summary(&engine, lg).expect("LG vantages have summaries");
         assert_eq!(s.kind, Some(VantageKind::LookingGlass));
         let table = exp.lg_table(lg).unwrap();
         assert_eq!(s.routes, table.rows.len());
@@ -143,16 +178,32 @@ fn batched_answers_equal_single_answers() {
     queries.push((Asn(999_999), "10.0.0.0/8".parse().unwrap()));
     queries.push((exp.spec.lg_ases[0], "203.0.113.0/24".parse().unwrap()));
 
-    let batched = engine.route_at_batch(&queries);
+    let routes: Vec<QueryRequest> = queries
+        .iter()
+        .map(|&(vantage, prefix)| Query::Route { vantage, prefix }.at(Scope::Latest))
+        .collect();
+    let batched = engine.execute_batch(&routes);
     assert_eq!(batched.len(), queries.len());
     for (i, &(v, p)) in queries.iter().enumerate() {
-        let single: Option<RouteAnswer> = engine.route_at(v, p);
-        assert_eq!(batched[i], single, "query {i}: {p} at {v}");
+        let single: Option<RouteAnswer> = route(&engine, Scope::Latest, v, p);
+        assert_eq!(
+            batched[i],
+            Ok(Response::Route(single)),
+            "query {i}: {p} at {v}"
+        );
     }
 
-    let sa_batched = engine.sa_status_batch(&queries);
+    let sas: Vec<QueryRequest> = queries
+        .iter()
+        .map(|&(vantage, prefix)| Query::SaStatus { vantage, prefix }.at(Scope::Latest))
+        .collect();
+    let sa_batched = engine.execute_batch(&sas);
     for (i, &(v, p)) in queries.iter().enumerate() {
-        assert_eq!(sa_batched[i], engine.sa_status(v, p), "sa query {i}");
+        assert_eq!(
+            sa_batched[i],
+            Ok(Response::Sa(sa(&engine, v, p))),
+            "sa query {i}"
+        );
     }
 }
 
@@ -168,7 +219,15 @@ fn lpm_resolve_answers_more_specific_queries() {
         .expect("some splittable prefix");
     // A more-specific query prefix must resolve to the covering route.
     let (lo, _) = prefix.split().unwrap();
-    let ans = engine.resolve(lg, lo).unwrap();
+    let Ok(Response::Route(Some(ans))) = engine.execute(
+        &Query::Resolve {
+            vantage: lg,
+            prefix: lo,
+        }
+        .at(Scope::Latest),
+    ) else {
+        panic!("{lo} must resolve to its covering route at {lg}");
+    };
     // The match is `prefix` itself unless the table holds something even
     // more specific that still covers `lo`.
     assert!(ans.prefix.covers(lo));
@@ -193,7 +252,7 @@ fn mrt_ingest_serves_collector_routes() {
     for &peer in &exp.output.collector.peers {
         let table = rpi_core::view::BestTable::from_collector(&exp.output.collector, peer);
         for (&prefix, row) in &table.rows {
-            let ans = engine.route_at_in(id, peer, prefix).unwrap();
+            let ans = route(&engine, Scope::Id(id), peer, prefix).unwrap();
             assert_eq!(ans.next_hop, row.next_hop, "{prefix} at {peer}");
             assert_eq!(ans.path, row.path);
         }
